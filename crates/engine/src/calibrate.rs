@@ -2,10 +2,7 @@
 //! workflow): find parameter values such that the ODE solution passes
 //! through every observation band, or prove that none exist.
 //!
-//! Moved here from `biocheck_core` so the engine can thread budgets and
-//! cancellation through the branch-and-prune search; `biocheck_core`
-//! re-exports these types and keeps a thin compatibility wrapper. Prefer
-//! [`Query::Calibrate`](crate::Query::Calibrate) on a
+//! Prefer [`Query::Calibrate`](crate::Query::Calibrate) on a
 //! [`Session`](crate::Session), which supplies the model and reports
 //! budget exhaustion distinctly from unsatisfiability.
 
@@ -195,5 +192,101 @@ pub(crate) fn run_calibrate(
         ),
         DeltaResult::Unsat => (None, false),
         DeltaResult::Unknown { .. } => (None, true),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Generates decay data from k = 1 and recovers k.
+    #[test]
+    fn recovers_decay_rate_from_data() {
+        let mut cx = Context::new();
+        let x = cx.intern_var("x");
+        let k = cx.intern_var("k");
+        let rhs = cx.parse("-k*x").unwrap();
+        let sys = OdeSystem::new(vec![x], vec![rhs]);
+        let times = vec![0.5, 1.0];
+        let values: Vec<Vec<f64>> = times.iter().map(|&t: &f64| vec![(-t).exp()]).collect();
+        let data = Dataset::full(times, values, 0.02);
+        let problem = CalibrationProblem {
+            cx,
+            sys,
+            init: vec![1.0],
+            params: vec![(k, Interval::new(0.2, 3.0))],
+            state_bounds: vec![Interval::new(0.0, 2.0)],
+            delta: 0.01,
+            flow_step: 0.05,
+        };
+        let (boxes, point) = synthesize_parameters(&problem, &data).expect("k = 1 fits");
+        assert!(
+            (point[0] - 1.0).abs() < 0.25,
+            "recovered k = {} (box {:?})",
+            point[0],
+            boxes[0]
+        );
+    }
+
+    #[test]
+    fn incompatible_data_is_rejected() {
+        // Decay data that *grows*: no positive k fits.
+        let mut cx = Context::new();
+        let x = cx.intern_var("x");
+        let k = cx.intern_var("k");
+        let rhs = cx.parse("-k*x").unwrap();
+        let sys = OdeSystem::new(vec![x], vec![rhs]);
+        let data = Dataset::full(vec![1.0], vec![vec![1.8]], 0.05);
+        let problem = CalibrationProblem {
+            cx,
+            sys,
+            init: vec![1.0],
+            params: vec![(k, Interval::new(0.1, 3.0))],
+            state_bounds: vec![Interval::new(0.0, 2.0)],
+            delta: 0.01,
+            flow_step: 0.05,
+        };
+        assert!(
+            synthesize_parameters(&problem, &data).is_none(),
+            "growth cannot come from decay"
+        );
+    }
+
+    #[test]
+    fn two_parameter_synthesis() {
+        // x' = a - b·x: steady approach to a/b; data from (a, b) = (2, 1).
+        let mut cx = Context::new();
+        let x = cx.intern_var("x");
+        let a = cx.intern_var("a");
+        let b = cx.intern_var("b");
+        let rhs = cx.parse("a - b*x").unwrap();
+        let sys = OdeSystem::new(vec![x], vec![rhs]);
+        // x(t) = 2 − 2e^{−t} from x(0) = 0.
+        let times = vec![0.5, 1.5];
+        let values: Vec<Vec<f64>> = times
+            .iter()
+            .map(|&t: &f64| vec![2.0 - 2.0 * (-t).exp()])
+            .collect();
+        let data = Dataset::full(times, values, 0.05);
+        let problem = CalibrationProblem {
+            cx,
+            sys,
+            init: vec![0.0],
+            params: vec![(a, Interval::new(0.5, 4.0)), (b, Interval::new(0.25, 2.5))],
+            state_bounds: vec![Interval::new(0.0, 5.0)],
+            delta: 0.02,
+            flow_step: 0.05,
+        };
+        let (_, point) = synthesize_parameters(&problem, &data).expect("fit exists");
+        // The identifiable combination near t→∞ is a/b = 2; both data
+        // points also constrain the rate. Loose check on the witness:
+        let ratio = point[0] / point[1];
+        assert!((ratio - 2.0).abs() < 0.6, "a/b = {ratio}");
+    }
+
+    #[test]
+    #[should_panic(expected = "increasing times")]
+    fn bad_dataset_rejected() {
+        let _ = Dataset::full(vec![1.0, 1.0], vec![vec![0.0], vec![0.0]], 0.1);
     }
 }

@@ -1,8 +1,7 @@
 //! Model falsification: reject a model hypothesis by proving a desired
 //! behavior unreachable for *every* admissible parameter value.
 //!
-//! Moved here from `biocheck_core` (which keeps a thin compatibility
-//! wrapper). Prefer [`Query::Falsify`](crate::Query::Falsify) on a
+//! Prefer [`Query::Falsify`](crate::Query::Falsify) on a
 //! [`Session`](crate::Session), which threads budgets and cancellation
 //! into the reachability search.
 
@@ -41,5 +40,68 @@ pub fn falsify_reachability(
         ReachResult::Unsat => FalsificationOutcome::Falsified,
         ReachResult::DeltaSat(w) => FalsificationOutcome::Consistent(Box::new(w)),
         ReachResult::Unknown => FalsificationOutcome::Undecided,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use biocheck_expr::{Atom, RelOp};
+    use biocheck_interval::Interval;
+
+    #[test]
+    fn falsifies_impossible_behavior() {
+        // Pure decay can never exceed its initial value.
+        let mut ha = HybridAutomaton::parse_bha(
+            r#"
+            state x;
+            param k = [0.1, 2.0];
+            mode decay { flow: x' = -k*x; }
+            init decay: x = 1;
+            "#,
+        )
+        .unwrap();
+        let e = ha.cx.parse("x - 1.5").unwrap();
+        let spec = ReachSpec {
+            goal_mode: None,
+            goal: vec![Atom::new(e, RelOp::Ge)],
+            k_max: 0,
+            time_bound: 2.0,
+        };
+        let opts = ReachOptions {
+            state_bounds: vec![Interval::new(0.0, 2.0)],
+            ..ReachOptions::new(0.05)
+        };
+        assert!(falsify_reachability(&ha, &spec, &opts).is_falsified());
+    }
+
+    #[test]
+    fn consistent_behavior_retains_model() {
+        let mut ha = HybridAutomaton::parse_bha(
+            r#"
+            state x;
+            param k = [0.1, 2.0];
+            mode decay { flow: x' = -k*x; }
+            init decay: x = 1;
+            "#,
+        )
+        .unwrap();
+        let e = ha.cx.parse("0.5 - x").unwrap(); // x ≤ 0.5 is reachable
+        let spec = ReachSpec {
+            goal_mode: None,
+            goal: vec![Atom::new(e, RelOp::Ge)],
+            k_max: 0,
+            time_bound: 5.0,
+        };
+        let opts = ReachOptions {
+            state_bounds: vec![Interval::new(0.0, 2.0)],
+            ..ReachOptions::new(0.05)
+        };
+        match falsify_reachability(&ha, &spec, &opts) {
+            FalsificationOutcome::Consistent(w) => {
+                assert!(!w.params.is_empty());
+            }
+            other => panic!("expected consistency, got {other:?}"),
+        }
     }
 }

@@ -1,8 +1,7 @@
 //! Stability analysis (Sec. IV-C): equilibrium localization by interval
 //! Newton plus CEGIS Lyapunov certification.
 //!
-//! Moved here from `biocheck_core` (which keeps a thin compatibility
-//! wrapper). Prefer [`Query::Stability`](crate::Query::Stability) on a
+//! Prefer [`Query::Stability`](crate::Query::Stability) on a
 //! [`Session`](crate::Session).
 
 use crate::budget::Budget;
@@ -105,5 +104,49 @@ pub(crate) fn run_stability(
         // stopped the search": a failed run with the interrupt raised is
         // exhaustion, not a negative answer.
         None => (None, budget.interrupted(deadline)),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn certifies_shifted_linear_system() {
+        // x' = 2 - x has equilibrium x* = 2.
+        let mut cx = Context::new();
+        let x = cx.intern_var("x");
+        let rhs = cx.parse("2 - x").unwrap();
+        let sys = OdeSystem::new(vec![x], vec![rhs]);
+        let report =
+            verify_stability(&cx, &sys, &[Interval::new(0.0, 5.0)], 0.1, 1.0).expect("stable");
+        assert!((report.equilibrium[0] - 2.0).abs() < 1e-6);
+        assert!(report.certified);
+    }
+
+    #[test]
+    fn certifies_nonlinear_system() {
+        // x' = -x - x³, equilibrium at 0.
+        let mut cx = Context::new();
+        let x = cx.intern_var("x");
+        let rhs = cx.parse("-x - x^3").unwrap();
+        let sys = OdeSystem::new(vec![x], vec![rhs]);
+        let report =
+            verify_stability(&cx, &sys, &[Interval::new(-0.5, 0.5)], 0.1, 0.8).expect("stable");
+        assert!(report.equilibrium[0].abs() < 1e-6);
+        assert!(report.certified);
+        assert!(report.iterations >= 1);
+    }
+
+    #[test]
+    fn unstable_equilibrium_rejected() {
+        // x' = x(1 - x): the origin is unstable (x = 1 is the stable one).
+        let mut cx = Context::new();
+        let x = cx.intern_var("x");
+        let rhs = cx.parse("x*(1 - x)").unwrap();
+        let sys = OdeSystem::new(vec![x], vec![rhs]);
+        // Region around the unstable origin.
+        let r = verify_stability(&cx, &sys, &[Interval::new(-0.4, 0.4)], 0.05, 0.3);
+        assert!(r.is_none(), "origin of the logistic map is unstable");
     }
 }

@@ -3,8 +3,7 @@
 //! problem over the treatment automaton, minimizing the number of drugs
 //! (path length).
 //!
-//! Moved here from `biocheck_core` (which keeps a thin compatibility
-//! wrapper). Prefer [`Query::Therapy`](crate::Query::Therapy) on a
+//! Prefer [`Query::Therapy`](crate::Query::Therapy) on a
 //! [`Session`](crate::Session), which threads budgets and cancellation
 //! into the reachability search and reports exhaustion distinctly from
 //! "no schedule exists".
@@ -69,5 +68,70 @@ pub(crate) fn synthesize_therapy_checked(
         }
         ReachResult::Unsat => (None, false),
         ReachResult::Unknown => (None, true),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use biocheck_expr::{Atom, RelOp};
+
+    /// A toy rescue automaton: damage grows in mode `sick`; drug mode
+    /// `treated` reverses it. Goal: low damage after treatment.
+    #[test]
+    fn finds_single_drug_schedule() {
+        let mut ha = HybridAutomaton::parse_bha(
+            r#"
+            state d;
+            param theta = [0.5, 2.0];
+            mode sick { flow: d' = 1; jump to treated when d >= theta; }
+            mode treated { flow: d' = -0.5; }
+            init sick: d = 0;
+            "#,
+        )
+        .unwrap();
+        let goal = ha.cx.parse("0.2 - d").unwrap(); // d ≤ 0.2
+        let spec = ReachSpec {
+            goal_mode: Some(ha.mode_by_name("treated").unwrap()),
+            goal: vec![Atom::new(goal, RelOp::Ge)],
+            k_max: 2,
+            time_bound: 5.0,
+        };
+        let opts = ReachOptions {
+            state_bounds: vec![Interval::new(0.0, 5.0)],
+            ..ReachOptions::new(0.05)
+        };
+        let plan = synthesize_therapy(&ha, &spec, &opts).expect("treatable");
+        assert_eq!(
+            plan.schedule,
+            vec!["sick".to_string(), "treated".to_string()]
+        );
+        assert_eq!(plan.drugs_used, 1);
+        assert_eq!(plan.dwell_times.len(), 2);
+        assert!(!plan.thresholds.is_empty());
+    }
+
+    #[test]
+    fn untreatable_returns_none() {
+        let mut ha = HybridAutomaton::parse_bha(
+            r#"
+            state d;
+            mode sick { flow: d' = 1; }
+            init sick: d = 0;
+            "#,
+        )
+        .unwrap();
+        let goal = ha.cx.parse("-1 - d").unwrap(); // d ≤ -1 impossible
+        let spec = ReachSpec {
+            goal_mode: None,
+            goal: vec![Atom::new(goal, RelOp::Ge)],
+            k_max: 1,
+            time_bound: 3.0,
+        };
+        let opts = ReachOptions {
+            state_bounds: vec![Interval::new(0.0, 5.0)],
+            ..ReachOptions::new(0.05)
+        };
+        assert!(synthesize_therapy(&ha, &spec, &opts).is_none());
     }
 }

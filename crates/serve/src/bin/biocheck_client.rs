@@ -295,11 +295,16 @@ fn selftest(addr: &str, expect_warm: bool, no_register: bool) -> Result<(), Stri
 fn trace_smoke(client: &mut Client) -> Result<(), String> {
     use biocheck_serve::Json;
     let requests = selftest_requests();
-    // A fresh seed, so the traced run misses the cache and actually
-    // exercises the engine span instrumentation.
+    // A seed no earlier run used (drawn from the process's random hash
+    // keys), so the traced run misses the cache — also on a daemon
+    // warm-started from an earlier selftest's persisted log — and
+    // actually exercises the engine span instrumentation.
     let mut traced = requests[0].clone();
     traced.id = None;
-    traced.seed = 9_901;
+    traced.seed = std::hash::BuildHasher::hash_one(
+        &std::collections::hash_map::RandomState::new(),
+        "selftest trace",
+    ) % (1 << 40);
     traced.trace = true;
     let mut untraced = traced.clone();
     untraced.trace = false;

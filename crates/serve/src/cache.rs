@@ -114,16 +114,30 @@ impl<V: Clone> ResultCache<V> {
 
     /// Looks up `key`, marking the entry most-recently-used on a hit.
     pub fn get(&self, key: &str) -> Option<V> {
+        self.lookup(key, false)
+    }
+
+    /// Looks up `key` again for a request whose [`get`](Self::get)
+    /// already missed, so each request counts once: a hit turns that
+    /// miss into a hit, a miss counts nothing.
+    pub fn recheck(&self, key: &str) -> Option<V> {
+        self.lookup(key, true)
+    }
+
+    fn lookup(&self, key: &str, recheck: bool) -> Option<V> {
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         match inner.map.get(key).copied() {
             Some(idx) => {
                 inner.stats.hits += 1;
+                if recheck {
+                    inner.stats.misses = inner.stats.misses.saturating_sub(1);
+                }
                 inner.unlink(idx);
                 inner.push_front(idx);
                 Some(inner.slot(idx).value.clone())
             }
             None => {
-                inner.stats.misses += 1;
+                inner.stats.misses += usize::from(!recheck);
                 None
             }
         }

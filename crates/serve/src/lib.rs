@@ -12,17 +12,19 @@
 //!   expression vocabulary). [`registry::SessionCaps`] governs per-model
 //!   memory — arena-node and compiled-artifact caps enforced by
 //!   evict-and-rebuild from canonical source, with high-water gauges in
-//!   [`registry::MemoryStats`] — and [`registry::persist::RegistryLog`]
-//!   makes registrations durable: an append-only checksummed log of
-//!   canonical sources, replayed on boot, so a `kill -9` restart serves
-//!   the same models under the same fingerprints with no client
+//!   [`registry::MemoryStats`] — and [`registry::persist`] makes
+//!   registrations durable: canonical sources in an
+//!   [`append_log::AppendLog`], replayed on boot, so a `kill -9` restart
+//!   serves the same models under the same fingerprints with no client
 //!   re-registration.
 //! * [`cache::ResultCache`] — a **cost-aware LRU result cache**: seeded
 //!   queries under count-only budgets are pure functions of
 //!   `(model fingerprint, canonical query, seed, caps)`, so whole
 //!   [`Report`](biocheck_engine::Report)s are memoized, with
 //!   byte-budgeted eviction and hit/miss/evict counters. A cached report
-//!   is `fingerprint()`-identical to a fresh computation.
+//!   is `fingerprint()`-identical to a fresh computation. With
+//!   `--persist`, [`cache::persist`] spills entries into the same
+//!   [`append_log::AppendLog`] for warm restarts.
 //! * [`scheduler::Scheduler`] — **fair FIFO admission** of concurrent
 //!   requests over the existing work-stealing pool, bounded concurrency,
 //!   per-request [`Budget`](biocheck_engine::Budget) and
@@ -92,6 +94,7 @@
 //! assert_eq!(fresh.fingerprint(), hit.fingerprint());
 //! ```
 
+pub mod append_log;
 pub mod cache;
 pub mod case_studies;
 pub mod client;
@@ -105,12 +108,13 @@ pub mod server;
 pub mod trace;
 pub mod wire;
 
+pub use append_log::{AppendLog, LogStats, RecordCodec};
 pub use cache::{CacheStats, ResultCache};
 pub use case_studies::{case_study_source, pinned_lint_json, CASE_STUDIES};
 pub use client::{Client, ClientConfig, QueryReply};
 pub use json::{parse_json, Json};
 pub use metrics::ServeMetrics;
-pub use registry::persist::{LoadedModel, RegistryLog, RegistryPersistStats};
+pub use registry::persist::{Registration, RegistryCodec};
 pub use registry::{fingerprint64, MemoryStats, ModelEntry, Registry, SessionCaps};
 pub use scheduler::{AdmitError, AdmitWait, Scheduler};
 pub use server::{serve, Daemon, ServeConfig, ServeCore, ServeError};

@@ -48,11 +48,12 @@
 //! canonical source, bit-identical results, high-water gauges in
 //! `stats` and `metrics`).
 
-use crate::cache::persist::CacheLog;
+use crate::append_log::{AppendLog, LogStats, RecordCodec};
+use crate::cache::persist::{CacheCodec, CacheRecord};
 use crate::cache::{CacheStats, ResultCache};
 use crate::json::Json;
 use crate::metrics::ServeMetrics;
-use crate::registry::persist::RegistryLog;
+use crate::registry::persist::{Registration, RegistryCodec};
 use crate::registry::{Registry, SessionCaps};
 use crate::scheduler::{AdmitError, AdmitWait, Scheduler};
 use crate::trace::{trace_reply_json, TraceHub};
@@ -64,7 +65,7 @@ use std::fmt;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -260,6 +261,31 @@ impl From<AdmitError> for ServeError {
     }
 }
 
+/// Opens the log at `path`, if one is configured, and hands every
+/// recovered record to `replay`. Fails open: a log that cannot be
+/// opened costs warm starts, not availability, so it disables that
+/// persistence with a warning on stderr.
+fn open_log<C: RecordCodec>(
+    path: Option<&Path>,
+    what: &str,
+    replay: impl FnMut(C::Record),
+) -> Option<Mutex<AppendLog<C>>> {
+    let path = path?;
+    match AppendLog::<C>::open(path) {
+        Ok((log, records)) => {
+            records.into_iter().for_each(replay);
+            Some(Mutex::new(log))
+        }
+        Err(e) => {
+            eprintln!(
+                "biocheckd: {what} persistence disabled ({}: {e})",
+                path.display()
+            );
+            None
+        }
+    }
+}
+
 /// The transport-independent serving core. Shared behind an `Arc`
 /// across connection threads; all methods take `&self`.
 pub struct ServeCore {
@@ -267,8 +293,8 @@ pub struct ServeCore {
     cache: ResultCache<Arc<Report>>,
     scheduler: Scheduler,
     inflight: Mutex<HashMap<u64, CancelToken>>,
-    persist: Option<Mutex<CacheLog>>,
-    registry_log: Option<Mutex<RegistryLog>>,
+    persist: Option<Mutex<AppendLog<CacheCodec>>>,
+    registry_log: Option<Mutex<AppendLog<RegistryCodec>>>,
     watchdog: Option<Arc<Watchdog>>,
     watchdog_thread: Option<std::thread::JoinHandle<()>>,
     trace_hub: TraceHub,
@@ -295,49 +321,19 @@ impl ServeCore {
     /// models under the same fingerprints with no client involvement.
     pub fn new(config: ServeConfig) -> ServeCore {
         let cache = ResultCache::new(config.cache_bytes);
-        let persist = config.persist.as_ref().and_then(|path| {
-            match CacheLog::open(path) {
-                Ok((log, records)) => {
-                    for rec in records {
-                        cache.insert(rec.key, Arc::new(rec.report), rec.cost);
-                    }
-                    Some(Mutex::new(log))
-                }
-                Err(e) => {
-                    // Fail open: a broken spill path costs warm starts,
-                    // not availability.
-                    eprintln!(
-                        "biocheckd: cache persistence disabled ({}: {e})",
-                        path.display()
-                    );
-                    None
-                }
-            }
+        let persist = open_log::<CacheCodec>(config.persist.as_deref(), "cache", |rec| {
+            cache.insert(rec.key, rec.report, rec.cost);
         });
         let registry = Registry::with_caps(SessionCaps {
             max_arena_nodes: config.max_arena_nodes,
             max_artifacts: config.max_artifacts,
         });
-        let registry_log = config.registry.as_ref().and_then(|path| {
-            match RegistryLog::open(path) {
-                Ok((log, models)) => {
-                    for m in models {
-                        // The source built when it was registered; a
-                        // replay failure means the engine changed
-                        // underneath the log — warn, keep serving.
-                        if let Err(e) = registry.register(&m.name, &m.source) {
-                            eprintln!("biocheckd: skipping persisted model {:?} ({e})", m.name);
-                        }
-                    }
-                    Some(Mutex::new(log))
-                }
-                Err(e) => {
-                    eprintln!(
-                        "biocheckd: registry persistence disabled ({}: {e})",
-                        path.display()
-                    );
-                    None
-                }
+        let registry_log = open_log::<RegistryCodec>(config.registry.as_deref(), "registry", |m| {
+            // The source built when it was registered; a replay failure
+            // means the engine changed underneath the log — warn, keep
+            // serving.
+            if let Err(e) = registry.register(&m.name, &m.source) {
+                eprintln!("biocheckd: skipping persisted model {:?} ({e})", m.name);
             }
         });
         let watchdog = config.max_execute.map(Watchdog::new);
@@ -378,14 +374,14 @@ impl ServeCore {
     }
 
     /// Persistence counters, when a spill file is attached.
-    pub fn persist_stats(&self) -> Option<crate::cache::persist::PersistStats> {
+    pub fn persist_stats(&self) -> Option<LogStats> {
         self.persist
             .as_ref()
             .map(|log| log.lock().unwrap_or_else(PoisonError::into_inner).stats())
     }
 
     /// Registry-log counters, when a registry log is attached.
-    pub fn registry_persist_stats(&self) -> Option<crate::registry::persist::RegistryPersistStats> {
+    pub fn registry_persist_stats(&self) -> Option<LogStats> {
         self.registry_log
             .as_ref()
             .map(|log| log.lock().unwrap_or_else(PoisonError::into_inner).stats())
@@ -442,7 +438,10 @@ impl ServeCore {
             if let Some(log) = &self.registry_log {
                 log.lock()
                     .unwrap_or_else(PoisonError::into_inner)
-                    .append(name, source);
+                    .append(&Registration {
+                        name: name.to_string(),
+                        source: source.clone(),
+                    });
             }
         }
         Ok(entry.fingerprint().to_string())
@@ -490,7 +489,6 @@ impl ServeCore {
         qr: &QueryRequest,
         trace: Option<&Arc<TraceCtx>>,
     ) -> Result<(Arc<Report>, bool), ServeError> {
-        let _span = biocheck_obs::span!("serve.request");
         // The hub-guard slot is declared *before* the root span on
         // purpose: locals drop in reverse order, so the root span
         // closes (landing its record in the ring) before the guard
@@ -575,7 +573,7 @@ impl ServeCore {
             self.metrics.queue_wait.record(t_queue.elapsed());
             // A racing identical request may have populated the cache
             // while this one queued; recheck before paying for compute.
-            if let Some(hit) = self.cache.get(&key) {
+            if let Some(hit) = self.cache.recheck(&key) {
                 self.metrics.request_hit.record(t_request.elapsed());
                 if let Some(guard) = hub_guard.as_mut() {
                     guard.set_ok();
@@ -659,7 +657,11 @@ impl ServeCore {
                 let append_span = trace.map(|ctx| ctx.span("serve.persist_append"));
                 log.lock()
                     .unwrap_or_else(PoisonError::into_inner)
-                    .append(&key, cost, &report);
+                    .append(&CacheRecord {
+                        key: key.clone(),
+                        cost,
+                        report: Arc::clone(&report),
+                    });
                 drop(append_span);
                 self.metrics.persist_append.record(t_append.elapsed());
             }
@@ -758,29 +760,14 @@ impl ServeCore {
                 ("artifact_evictions", Json::num(m.artifact_evictions as f64)),
             ]),
         ));
-        if let Some(p) = self.persist_stats() {
-            pairs.push((
-                "persist",
-                Json::obj([
-                    ("loaded", Json::num(p.loaded as f64)),
-                    ("skipped", Json::num(p.skipped as f64)),
-                    ("appended", Json::num(p.appended as f64)),
-                    ("append_errors", Json::num(p.append_errors as f64)),
-                    ("unsupported", Json::num(p.unsupported as f64)),
-                ]),
-            ));
-        }
-        if let Some(r) = self.registry_persist_stats() {
-            pairs.push((
-                "registry_persist",
-                Json::obj([
-                    ("loaded", Json::num(r.loaded as f64)),
-                    ("skipped", Json::num(r.skipped as f64)),
-                    ("deduped", Json::num(r.deduped as f64)),
-                    ("appended", Json::num(r.appended as f64)),
-                    ("append_errors", Json::num(r.append_errors as f64)),
-                ]),
-            ));
+        let logs = [
+            ("persist", self.persist_stats()),
+            ("registry_persist", self.registry_persist_stats()),
+        ];
+        for (name, log) in logs {
+            if let Some(stats) = log {
+                pairs.push((name, stats.to_json()));
+            }
         }
         pairs.push((
             "models",
@@ -915,39 +902,18 @@ impl ServeCore {
             "Compiled artifacts evicted by the artifact cap.",
             m.artifact_evictions as f64,
         );
-        if let Some(p) = self.persist_stats() {
-            counter(
-                "biocheckd_persist_appended_total",
-                "Memoized results appended to the spill file.",
-                p.appended as f64,
-            );
-            counter(
-                "biocheckd_persist_append_errors_total",
-                "Spill-file append failures (best-effort, request unaffected).",
-                p.append_errors as f64,
-            );
-            counter(
-                "biocheckd_persist_loaded_total",
-                "Records reloaded into the cache at boot.",
-                p.loaded as f64,
-            );
-        }
-        if let Some(r) = self.registry_persist_stats() {
-            counter(
-                "biocheckd_registry_appended_total",
-                "Registrations appended to the registry log.",
-                r.appended as f64,
-            );
-            counter(
-                "biocheckd_registry_append_errors_total",
-                "Registry-log append failures (best-effort, request unaffected).",
-                r.append_errors as f64,
-            );
-            counter(
-                "biocheckd_registry_loaded_total",
-                "Models replayed from the registry log at boot.",
-                r.loaded as f64,
-            );
+        let logs = [
+            ("persist", "cache spill file", self.persist_stats()),
+            ("registry", "registry log", self.registry_persist_stats()),
+        ];
+        for (prefix, what, log) in logs {
+            for (suffix, help, value) in log.iter().flat_map(LogStats::counters) {
+                counter(
+                    &format!("biocheckd_{prefix}_{suffix}"),
+                    &format!("{help} ({what})."),
+                    value,
+                );
+            }
         }
         out
     }

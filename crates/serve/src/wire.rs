@@ -19,11 +19,14 @@
 
 use crate::json::Json;
 use biocheck_bltl::Bltl;
-use biocheck_engine::{Budget, EstimateMethod, Query, Report, SmcSpec, Value};
+use biocheck_engine::{
+    Budget, Diagnostic, EstimateMethod, Outcome, Provenance, Query, QueryKind, Report,
+    RobustnessSummary, Severity, SmcSpec, StabilityReport, Value,
+};
 use biocheck_expr::{Atom, Context, RelOp, VarId};
 use biocheck_interval::Interval;
 use biocheck_ode::OdeSystem;
-use biocheck_smc::Dist;
+use biocheck_smc::{Dist, Estimate, SprtOutcome, SprtResult};
 use std::time::Duration;
 
 /// A model registration payload: one `(name, rhs)` pair per state
@@ -1282,30 +1285,63 @@ fn num_or_null(v: f64) -> Json {
     }
 }
 
+/// The cache log's float leaf: a number, or `"inf"`/`"-inf"`/`"NaN"`
+/// for the non-finite values the wire writes as `null`. Finite numbers
+/// render as shortest round-trip decimals, so every value the
+/// fingerprint can tell apart survives ([`Report::fingerprint`] renders
+/// floats with `Debug`, which prints every NaN as `NaN`).
+pub(crate) fn exact_float(v: f64) -> Json {
+    match v {
+        v if v.is_finite() => Json::Num(v),
+        v if v.is_nan() => Json::str("NaN"),
+        v if v > 0.0 => Json::str("inf"),
+        _ => Json::str("-inf"),
+    }
+}
+
+fn float_from(v: &Json) -> Option<f64> {
+    match v {
+        Json::Num(v) => Some(*v),
+        Json::Str(s) => match s.as_str() {
+            "inf" => Some(f64::INFINITY),
+            "-inf" => Some(f64::NEG_INFINITY),
+            "NaN" => Some(f64::NAN),
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
 /// Serializes a [`Report`] into the response `"report"` payload:
 /// discriminant, outcome, the typed value, provenance, and the
 /// server-computed [`Report::fingerprint`] (so clients can check
 /// bit-level agreement without reconstructing the struct).
 pub fn report_to_json(report: &Report) -> Json {
+    report_json_with(report, num_or_null)
+}
+
+/// The one `Report` tree walk behind the wire reply and the cache log;
+/// the two layouts differ only in how `float` renders a float leaf.
+pub(crate) fn report_json_with(report: &Report, float: impl Fn(f64) -> Json) -> Json {
     let value = match &report.value {
         Value::Estimate(e) => Json::obj([
             ("type", Json::str("estimate")),
-            ("p_hat", num_or_null(e.p_hat)),
+            ("p_hat", float(e.p_hat)),
             ("samples", Json::num(e.samples as f64)),
-            ("half_width", num_or_null(e.half_width)),
-            ("confidence", num_or_null(e.confidence)),
+            ("half_width", float(e.half_width)),
+            ("confidence", float(e.confidence)),
         ]),
         Value::Sprt(r) => Json::obj([
             ("type", Json::str("sprt")),
             ("outcome", Json::str(format!("{:?}", r.outcome))),
             ("samples", Json::num(r.samples as f64)),
-            ("p_hat", num_or_null(r.p_hat)),
+            ("p_hat", float(r.p_hat)),
         ]),
         Value::Robustness(r) => Json::obj([
             ("type", Json::str("robustness")),
-            ("p_hat", num_or_null(r.p_hat)),
-            ("mean", num_or_null(r.mean)),
-            ("min", num_or_null(r.min)),
+            ("p_hat", float(r.p_hat)),
+            ("mean", float(r.mean)),
+            ("min", float(r.min)),
         ]),
         Value::Stability(r) => match r {
             None => Json::obj([("type", Json::str("stability")), ("report", Json::Null)]),
@@ -1316,7 +1352,7 @@ pub fn report_to_json(report: &Report) -> Json {
                     Json::obj([
                         (
                             "equilibrium",
-                            Json::Arr(rep.equilibrium.iter().map(|&v| num_or_null(v)).collect()),
+                            Json::Arr(rep.equilibrium.iter().map(|&v| float(v)).collect()),
                         ),
                         ("lyapunov", Json::str(rep.lyapunov.clone())),
                         ("iterations", Json::num(rep.iterations as f64)),
@@ -1353,8 +1389,8 @@ pub fn report_to_json(report: &Report) -> Json {
                                             .map(|(name, iv)| {
                                                 Json::Arr(vec![
                                                     Json::str(name.clone()),
-                                                    num_or_null(iv.lo()),
-                                                    num_or_null(iv.hi()),
+                                                    float(iv.lo()),
+                                                    float(iv.hi()),
                                                 ])
                                             })
                                             .collect(),
@@ -1378,8 +1414,8 @@ pub fn report_to_json(report: &Report) -> Json {
         (
             "outcome",
             Json::str(match report.outcome {
-                biocheck_engine::Outcome::Complete => "complete",
-                biocheck_engine::Outcome::Exhausted => "exhausted",
+                Outcome::Complete => "complete",
+                Outcome::Exhausted => "exhausted",
             }),
         ),
         ("value", value),
@@ -1388,11 +1424,8 @@ pub fn report_to_json(report: &Report) -> Json {
             Json::obj([
                 ("seed", u64_to_json(report.provenance.seed)),
                 ("samples", Json::num(report.provenance.samples as f64)),
-                (
-                    "early_stop_rate",
-                    num_or_null(report.provenance.early_stop_rate),
-                ),
-                ("avg_steps", num_or_null(report.provenance.avg_steps)),
+                ("early_stop_rate", float(report.provenance.early_stop_rate)),
+                ("avg_steps", float(report.provenance.avg_steps)),
                 // Phase timings are observability-only (excluded from
                 // the fingerprint); null when unmeasured, e.g. a report
                 // reloaded from a persistence log.
@@ -1405,6 +1438,129 @@ pub fn report_to_json(report: &Report) -> Json {
         ),
         ("fingerprint", Json::str(report.fingerprint())),
     ])
+}
+
+/// Rebuilds a [`Report`] from the layout [`report_to_json`] writes. A
+/// float leaf is a number or `"inf"`/`"-inf"`/`"NaN"`; a wire `null`
+/// does not decode. Only the wire kinds (estimate, sprt, robustness,
+/// stability, lint) decode, phase timings come back unmeasured, and
+/// the result must reproduce the payload's `fingerprint` — so a decoded
+/// report is fingerprint-exact, or `None`.
+pub fn report_from_json(v: &Json) -> Option<Report> {
+    let val = v.get("value")?;
+    let usize_at = |o: &Json, k: &str| o.get(k)?.as_usize();
+    let float_at = |o: &Json, k: &str| float_from(o.get(k)?);
+    let (kind, value) = match val.get("type")?.as_str()? {
+        "estimate" => (
+            QueryKind::Estimate,
+            Value::Estimate(Estimate {
+                p_hat: float_at(val, "p_hat")?,
+                samples: usize_at(val, "samples")?,
+                half_width: float_at(val, "half_width")?,
+                confidence: float_at(val, "confidence")?,
+            }),
+        ),
+        "sprt" => (
+            QueryKind::Sprt,
+            Value::Sprt(SprtResult {
+                outcome: match val.get("outcome")?.as_str()? {
+                    "AcceptH0" => SprtOutcome::AcceptH0,
+                    "AcceptH1" => SprtOutcome::AcceptH1,
+                    "Inconclusive" => SprtOutcome::Inconclusive,
+                    _ => return None,
+                },
+                samples: usize_at(val, "samples")?,
+                p_hat: float_at(val, "p_hat")?,
+            }),
+        ),
+        "robustness" => (
+            QueryKind::Robustness,
+            Value::Robustness(RobustnessSummary {
+                p_hat: float_at(val, "p_hat")?,
+                mean: float_at(val, "mean")?,
+                min: float_at(val, "min")?,
+            }),
+        ),
+        "stability" => (
+            QueryKind::Stability,
+            Value::Stability(match val.get("report")? {
+                Json::Null => None,
+                r => Some(StabilityReport {
+                    equilibrium: (r.get("equilibrium")?.as_arr()?.iter())
+                        .map(float_from)
+                        .collect::<Option<_>>()?,
+                    lyapunov: r.get("lyapunov")?.as_str()?.to_string(),
+                    iterations: usize_at(r, "iterations")?,
+                    certified: r.get("certified")?.as_bool()?,
+                }),
+            }),
+        ),
+        "lint" => (
+            QueryKind::Lint,
+            Value::Lint(
+                (val.get("diagnostics")?.as_arr()?.iter())
+                    .map(diagnostic_from_json)
+                    .collect::<Option<_>>()?,
+            ),
+        ),
+        _ => return None,
+    };
+    let outcome = match v.get("outcome")?.as_str()? {
+        "complete" => Outcome::Complete,
+        "exhausted" => Outcome::Exhausted,
+        _ => return None,
+    };
+    let p = v.get("provenance")?;
+    let report = Report {
+        kind,
+        outcome,
+        value,
+        provenance: Provenance {
+            seed: u64_from_json(p.get("seed")?)?,
+            samples: usize_at(p, "samples")?,
+            early_stop_rate: float_at(p, "early_stop_rate")?,
+            avg_steps: float_at(p, "avg_steps")?,
+            ..Provenance::default()
+        },
+    };
+    (v.get("fingerprint")?.as_str()? == report.fingerprint()).then_some(report)
+}
+
+fn diagnostic_from_json(v: &Json) -> Option<Diagnostic> {
+    let severity = match v.get("severity")?.as_str()? {
+        "error" => Severity::Error,
+        "warn" => Severity::Warn,
+        "info" => Severity::Info,
+        _ => return None,
+    };
+    let expr = match v.get("expr")? {
+        Json::Null => None,
+        e => Some(e.as_str()?.to_string()),
+    };
+    let witness = (v.get("witness")?.as_arr()?.iter())
+        .map(|triple| {
+            let [name, lo, hi] = triple.as_arr()? else {
+                return None;
+            };
+            let (lo, hi) = (float_from(lo)?, float_from(hi)?);
+            // An empty enclosure is NaN/NaN; everything else is a
+            // checked interval (±inf endpoints included).
+            let iv = if lo.is_nan() && hi.is_nan() {
+                Interval::EMPTY
+            } else {
+                Interval::checked(lo, hi)?
+            };
+            Some((name.as_str()?.to_string(), iv))
+        })
+        .collect::<Option<_>>()?;
+    Some(Diagnostic {
+        code: v.get("code")?.as_str()?.to_string(),
+        severity,
+        site: v.get("site")?.as_str()?.to_string(),
+        message: v.get("message")?.as_str()?.to_string(),
+        expr,
+        witness,
+    })
 }
 
 fn opt_duration_ms(d: Option<std::time::Duration>) -> Json {
@@ -1851,5 +2007,22 @@ mod tests {
         assert_eq!(json.get("value").unwrap().get("min"), Some(&Json::Null));
         let line = json.render();
         assert_eq!(parse_json(&line).unwrap(), json);
+        // A null leaf does not decode; an all-finite reply decodes
+        // back to a fingerprint-identical report.
+        assert!(report_from_json(&json).is_none());
+        let mut finite = report.clone();
+        finite.value = Value::Robustness(biocheck_engine::RobustnessSummary {
+            p_hat: 0.5,
+            mean: 1.25,
+            min: -0.0,
+        });
+        let back = report_from_json(&report_to_json(&finite)).expect("decodes");
+        assert_eq!(back.fingerprint(), finite.fingerprint());
+        // A payload whose fingerprint does not match its content is refused.
+        let mut forged = report_to_json(&finite);
+        if let Json::Obj(fields) = &mut forged {
+            fields.insert("fingerprint".into(), Json::str(report.fingerprint()));
+        }
+        assert!(report_from_json(&forged).is_none());
     }
 }

@@ -371,8 +371,9 @@ fn budgets_and_cancellation() {
             let a = a.clone();
             std::thread::spawn(move || core.run_query(&a))
         };
-        // Wait until request 42 is in flight.
-        while !core.cancel(42) {
+        // Wait until request 42 is admitted, without touching its
+        // token: a cancel raised before admission refuses the request.
+        while core.scheduler().in_flight() == 0 && !runner.is_finished() {
             std::thread::yield_now();
         }
         let mut b = estimate("x - 0.8", 71, 10);
@@ -380,11 +381,12 @@ fn budgets_and_cancellation() {
         match core.run_query(&b) {
             Err(e) => assert!(e.to_string().contains("already in flight"), "{e}"),
             Ok((_, cached)) => {
-                // Request A may have finished between the cancel and
-                // this call; then B's id is free and B runs normally.
+                // Request A may have finished before this call; then
+                // B's id is free and B runs normally.
                 assert!(!cached);
             }
         }
+        core.cancel(42);
         let _ = runner.join().unwrap().unwrap();
         assert!(!core.cancel(42), "finished request must leave the table");
     }
@@ -424,10 +426,13 @@ fn budgets_and_cancellation() {
         let long = long.clone();
         std::thread::spawn(move || core.run_query(&long))
     };
-    // Spin until the request registers as in flight, then cancel it.
-    while !core.cancel(1) {
+    // Spin until the request is admitted, then cancel it (a cancel
+    // raised before admission would refuse it instead).
+    while core.scheduler().in_flight() == 0 {
+        assert!(!runner.is_finished(), "the long request ended unadmitted");
         std::thread::yield_now();
     }
+    assert!(core.cancel(1));
     let (report, cached) = runner.join().unwrap().unwrap();
     assert!(!cached);
     assert_eq!(report.outcome, Outcome::Exhausted);
@@ -499,9 +504,9 @@ fn stats_report_latency_percentiles_after_mixed_batch() {
             .and_then(|v| v.as_f64()),
         Some(1.0)
     );
-    // hit_ratio is hits/(hits+misses) as reported by the same payload
-    // (a cold request probes the cache twice: before and after
-    // admission, so misses > computed-query count).
+    // hit_ratio is hits/(hits+misses) as reported by the same payload,
+    // and each request counts once: a cold request probes the cache
+    // before and after admission but is one miss.
     let cache_num = |k: &str| {
         stats
             .get("cache")
@@ -511,6 +516,7 @@ fn stats_report_latency_percentiles_after_mixed_batch() {
     };
     let (hits, misses) = (cache_num("hits"), cache_num("misses"));
     assert_eq!(hits, 9.0);
+    assert_eq!(misses, 4.0);
     assert_eq!(cache_num("hit_ratio"), hits / (hits + misses));
 
     // The metrics op embeds the text exposition.

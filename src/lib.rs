@@ -60,8 +60,6 @@
 //!
 //! # Substrate crates
 //!
-//! * [`core`] — thin compatibility wrappers over the engine's workflow
-//!   functions (calibrate → validate/falsify → therapy, stability);
 //! * [`bmc`] — bounded reachability for hybrid automata (dReach-style);
 //! * [`dsmt`] / [`icp`] — the δ-decision procedures (dReal-style);
 //! * [`models`] — the paper's biological case studies;
@@ -75,7 +73,6 @@
 
 pub use biocheck_bltl as bltl;
 pub use biocheck_bmc as bmc;
-pub use biocheck_core as core;
 pub use biocheck_dsmt as dsmt;
 pub use biocheck_engine as engine;
 pub use biocheck_expr as expr;
